@@ -2,16 +2,20 @@
 //! (DESIGN.md §2, recorded in EXPERIMENTS.md).
 //!
 //! Usage:
-//!   cargo run -p iqs-bench --release --bin harness            # all
-//!   cargo run -p iqs-bench --release --bin harness -- e1 f2   # subset
+//!   cargo run -p iqs-bench --release --bin harness                    # all
+//!   cargo run -p iqs-bench --release --bin harness -- e1 f2           # subset
+//!   cargo run -p iqs-bench --release --bin harness -- e17 --smoke     # CI size
 //!
 //! Each experiment prints a table and appends rows to `results/*.csv`.
+//! `--smoke` runs the same code at a small size with short intervals;
+//! an unknown name or flag exits with status 2 and lists the names.
 
 use iqs_alias::space::SpaceUsage;
 use iqs_alias::{AliasTable, CdfSampler, DynamicAlias};
 use iqs_bench::{
-    clustered_points2, csv_row, keyed_weights, overlapping_sets, time_ns, uniform_points2,
-    uniform_points3, Weights,
+    closed_loop, clustered_points2, interleaved_medians, keyed_elements, keyed_weights,
+    overlapping_sets, quantile, select, time_ns, uniform_points2, uniform_points3, Csv, Experiment,
+    Opts, Weights,
 };
 use iqs_core::approx::ApproxCoverageSampler;
 use iqs_core::baseline::{DependentRange, ReportThenSample};
@@ -30,10 +34,43 @@ use iqs_sketch::{HashSeed, KmvSketch};
 use iqs_spatial::{dist2, Disc, HalfSpace, KdTree, QuadTree, RangeTree, Rect};
 use iqs_stats::chisq::{chi_square_gof, uniform_probs};
 use iqs_stats::concentration::ErrorRuns;
-use iqs_stats::independence::overlap_test;
+use iqs_stats::independence::{overlap_test, OverlapReport};
 use iqs_tree::{SubtreeSampler, Tree, TreeSampler};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// Every experiment, in the order a full run prints them.
+const EXPERIMENTS: &[Experiment] = &[
+    Experiment { names: &["e1"], run: e1_alias },
+    Experiment { names: &["e2"], run: e2_tree_sampling },
+    Experiment { names: &["e3", "e4"], run: e3_e4_range1d },
+    Experiment { names: &["e5"], run: e5_kdtree },
+    Experiment { names: &["e6"], run: e6_rangetree },
+    Experiment { names: &["e7"], run: e7_approx_cover },
+    Experiment { names: &["e8"], run: e8_setunion },
+    Experiment { names: &["e9"], run: e9_em_set },
+    Experiment { names: &["e10"], run: e10_em_range },
+    Experiment { names: &["e11"], run: e11_dynamic_alias },
+    Experiment { names: &["f1"], run: f1_independence },
+    Experiment { names: &["f2"], run: f2_concentration },
+    Experiment { names: &["f3"], run: f3_fairness },
+    Experiment { names: &["f4"], run: f4_crossover },
+    Experiment { names: &["e12"], run: e12_dynamic_range },
+    Experiment { names: &["e13"], run: e13_wor_methods },
+    Experiment { names: &["a1"], run: a1_chunk_len_ablation },
+    Experiment { names: &["a2"], run: a2_sketch_k_ablation },
+    Experiment { names: &["a3"], run: a3_leaf_cap_ablation },
+    Experiment { names: &["e14"], run: e14_regions },
+    Experiment { names: &["e15"], run: e15_em_weighted },
+    Experiment { names: &["e17"], run: e17_service },
+    Experiment { names: &["e18"], run: e18_sharded },
+    Experiment { names: &["e19"], run: e19_observability },
+    Experiment { names: &["e20"], run: e20_memory_wall },
+    Experiment { names: &["e21"], run: e21_net },
+    Experiment { names: &["e22"], run: e22_tiered },
+    Experiment { names: &["e23"], run: e23_autopilot },
+    Experiment { names: &["e24"], run: e24_telemetry_slo },
+];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
@@ -42,104 +79,24 @@ fn main() {
         e21_replica_node(&args[1..]);
         return;
     }
-    let want = |name: &str| args.is_empty() || args.iter().any(|a| a == name);
+    let (opts, chosen) = select(EXPERIMENTS, &args).unwrap_or_else(|err| {
+        eprintln!("harness: {err}");
+        eprintln!("usage: harness [--smoke] [NAME ...]   (no names: run every experiment)");
+        std::process::exit(2);
+    });
 
     println!("IQS experiment harness (Tao, PODS 2022 reproduction)");
     println!("====================================================\n");
-
-    if want("e1") {
-        e1_alias();
-    }
-    if want("e2") {
-        e2_tree_sampling();
-    }
-    if want("e3") || want("e4") {
-        e3_e4_range1d();
-    }
-    if want("e5") {
-        e5_kdtree();
-    }
-    if want("e6") {
-        e6_rangetree();
-    }
-    if want("e7") {
-        e7_approx_cover();
-    }
-    if want("e8") {
-        e8_setunion();
-    }
-    if want("e9") {
-        e9_em_set();
-    }
-    if want("e10") {
-        e10_em_range();
-    }
-    if want("e11") {
-        e11_dynamic_alias();
-    }
-    if want("f1") {
-        f1_independence();
-    }
-    if want("f2") {
-        f2_concentration();
-    }
-    if want("f3") {
-        f3_fairness();
-    }
-    if want("f4") {
-        f4_crossover();
-    }
-    if want("e12") {
-        e12_dynamic_range();
-    }
-    if want("e13") {
-        e13_wor_methods();
-    }
-    if want("a1") {
-        a1_chunk_len_ablation();
-    }
-    if want("a2") {
-        a2_sketch_k_ablation();
-    }
-    if want("a3") {
-        a3_leaf_cap_ablation();
-    }
-    if want("e14") {
-        e14_regions();
-    }
-    if want("e15") {
-        e15_em_weighted();
-    }
-    if want("e17") {
-        e17_service();
-    }
-    if want("e18") {
-        e18_sharded();
-    }
-    if want("e19") {
-        e19_observability();
-    }
-    if want("e20") {
-        e20_memory_wall();
-    }
-    if want("e21") {
-        e21_net();
-    }
-    if want("e22") {
-        e22_tiered();
-    }
-    if want("e23") {
-        e23_autopilot();
-    }
-    if want("e24") {
-        e24_telemetry_slo();
+    for experiment in chosen {
+        (experiment.run)(opts);
     }
 }
 
 // =====================================================================
 // E1 — Theorem 1: alias O(n) build, O(1) sample; CDF baseline O(log n).
 // =====================================================================
-fn e1_alias() {
+fn e1_alias(_: Opts) {
+    let csv = Csv::new("e1_alias.csv", "n,build_us,alias_ns,cdf_ns");
     println!("E1  Theorem 1 — alias method vs inverse-CDF baseline");
     println!(
         "{:>10} {:>14} {:>14} {:>14} {:>14}",
@@ -154,23 +111,10 @@ fn e1_alias() {
         let alias = AliasTable::new(&weights).unwrap();
         let build_us = build_start.elapsed().as_micros();
         let cdf = CdfSampler::new(&weights).unwrap();
-        let mut sink = 0usize;
-        let a_ns = time_ns(|| sink ^= alias.sample(&mut rng), 20_000, 5);
-        let c_ns = time_ns(|| sink ^= cdf.sample(&mut rng), 20_000, 5);
-        std::hint::black_box(sink);
-        println!(
-            "{:>10} {:>11} us {:>14.1} {:>14.1} {:>13.1}x",
-            n,
-            build_us,
-            a_ns,
-            c_ns,
-            c_ns / a_ns
-        );
-        csv_row(
-            "e1_alias.csv",
-            "n,build_us,alias_ns,cdf_ns",
-            &format!("{n},{build_us},{a_ns:.1},{c_ns:.1}"),
-        );
+        let a_ns = time_ns(|| alias.sample(&mut rng), 20_000, 5);
+        let c_ns = time_ns(|| cdf.sample(&mut rng), 20_000, 5);
+        println!("{n:>10} {build_us:>11} us {a_ns:>14.1} {c_ns:>14.1} {:>13.1}x", c_ns / a_ns);
+        csv.row(format_args!("{n},{build_us},{a_ns:.1},{c_ns:.1}"));
     }
     println!("  claim: alias per-sample flat in n; CDF grows ~log n; both builds linear.\n");
 }
@@ -178,7 +122,8 @@ fn e1_alias() {
 // =====================================================================
 // E2 — §3.2 tree sampling O(s·height) vs Lemma-4 SubtreeSampler O(1+s).
 // =====================================================================
-fn e2_tree_sampling() {
+fn e2_tree_sampling(_: Opts) {
+    let csv = Csv::new("e2_tree_sampling.csv", "n,descend_ns,lemma4_ns,pieces_per_n,space_ratio");
     println!("E2  §3.2 tree sampling vs Lemma 4 (SubtreeSampler)");
     println!(
         "{:>10} {:>14} {:>16} {:>12} {:>12}",
@@ -190,18 +135,12 @@ fn e2_tree_sampling() {
         let tree = Tree::random(n, 4, &mut rng);
         let ts = TreeSampler::new(tree.clone());
         let sub = SubtreeSampler::new(&tree);
-        let mut sink = 0usize;
-        let t_ns = time_ns(|| sink ^= ts.sample_leaf(0, &mut rng), 10_000, 5);
-        let s_ns = time_ns(|| sink ^= sub.sample_leaf(0, &mut rng), 10_000, 5);
-        std::hint::black_box(sink);
+        let t_ns = time_ns(|| ts.sample_leaf(0, &mut rng), 10_000, 5);
+        let s_ns = time_ns(|| sub.sample_leaf(0, &mut rng), 10_000, 5);
         let pieces = sub.total_pieces() as f64 / n as f64;
         let ratio = sub.space_words() as f64 / ts.space_words() as f64;
         println!("{:>10} {:>14.1} {:>16.1} {:>12.2} {:>12.2}", n, t_ns, s_ns, pieces, ratio);
-        csv_row(
-            "e2_tree_sampling.csv",
-            "n,descend_ns,lemma4_ns,pieces_per_n,space_ratio",
-            &format!("{n},{t_ns:.1},{s_ns:.1},{pieces:.3},{ratio:.3}"),
-        );
+        csv.row(format_args!("{n},{t_ns:.1},{s_ns:.1},{pieces:.3},{ratio:.3}"));
     }
     println!("  claim: descend grows with log n; Lemma-4 flat; pieces/n bounded (O(n) space).\n");
 }
@@ -209,7 +148,11 @@ fn e2_tree_sampling() {
 // =====================================================================
 // E3/E4 — Lemma 2 vs Theorem 3 vs §3.2: query time and space.
 // =====================================================================
-fn e3_e4_range1d() {
+fn e3_e4_range1d(_: Opts) {
+    let csv = Csv::new(
+        "e3_e4_range1d.csv",
+        "n,s,tree_us,lemma2_us,thm3_us,tree_words,lemma2_words,thm3_words",
+    );
     println!("E3/E4  1-D weighted range sampling — three structures");
     println!(
         "{:>9} {:>5} {:>11} {:>11} {:>11} | {:>12} {:>12} {:>12}",
@@ -223,32 +166,12 @@ fn e3_e4_range1d() {
         let thm3 = ChunkedRange::new(keyed_weights(n, Weights::Uniform, 30)).unwrap();
         let (x, y) = (n as f64 * 0.1, n as f64 * 0.9);
         for s in [1usize, 16, 256, 4096] {
-            let mut sink = 0usize;
-            let t = time_ns(|| sink ^= tree.sample_wr(x, y, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-            let l = time_ns(|| sink ^= lem2.sample_wr(x, y, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-            let c = time_ns(|| sink ^= thm3.sample_wr(x, y, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-            std::hint::black_box(sink);
-            println!(
-                "{:>9} {:>5} {:>11.1} {:>11.1} {:>11.1} | {:>12} {:>12} {:>12}",
-                n,
-                s,
-                t,
-                l,
-                c,
-                tree.space_words(),
-                lem2.space_words(),
-                thm3.space_words()
-            );
-            csv_row(
-                "e3_e4_range1d.csv",
-                "n,s,tree_us,lemma2_us,thm3_us,tree_words,lemma2_words,thm3_words",
-                &format!(
-                    "{n},{s},{t:.2},{l:.2},{c:.2},{},{},{}",
-                    tree.space_words(),
-                    lem2.space_words(),
-                    thm3.space_words()
-                ),
-            );
+            let t = time_ns(|| tree.sample_wr(x, y, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
+            let l = time_ns(|| lem2.sample_wr(x, y, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
+            let c = time_ns(|| thm3.sample_wr(x, y, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
+            let (tw, lw, cw) = (tree.space_words(), lem2.space_words(), thm3.space_words());
+            println!("{n:>9} {s:>5} {t:>11.1} {l:>11.1} {c:>11.1} | {tw:>12} {lw:>12} {cw:>12}");
+            csv.row(format_args!("{n},{s},{t:.2},{l:.2},{c:.2},{tw},{lw},{cw}"));
         }
     }
     println!(
@@ -260,7 +183,9 @@ fn e3_e4_range1d() {
 // =====================================================================
 // E5 — Theorem 5 on a kd-tree; crossover vs report-then-sample.
 // =====================================================================
-fn e5_kdtree() {
+fn e5_kdtree(_: Opts) {
+    let kdtree_csv = Csv::new("e5_kdtree.csv", "n,side,count,cover,s,iqs_us,report_us");
+    let cover_scaling_csv = Csv::new("e5_cover_scaling.csv", "n,cover2d,cover3d");
     println!("E5  Theorem 5 @ kd-tree (2-D) vs report-then-sample, s = 64");
     let mut rng = StdRng::seed_from_u64(5);
     let n = 1 << 17;
@@ -276,23 +201,17 @@ fn e5_kdtree() {
             continue;
         }
         let cover = kd.index().cover(&q).len();
-        let mut sink = 0usize;
-        let iqs_us = time_ns(|| sink ^= kd.sample_wr(&q, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
+        let iqs_us = time_ns(|| kd.sample_wr(&q, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
         let rep_us = time_ns(
             || {
                 let all = kd.index().report(&q);
-                sink ^= all[rng.random_range(0..all.len())] as usize;
+                all[rng.random_range(0..all.len())]
             },
             20,
             5,
         ) / 1e3;
-        std::hint::black_box(sink);
         println!("{:>10} {:>9} {:>13.1} {:>15.1}", count, cover, iqs_us, rep_us);
-        csv_row(
-            "e5_kdtree.csv",
-            "n,side,count,cover,s,iqs_us,report_us",
-            &format!("{n},{side},{count},{cover},{s},{iqs_us:.2},{rep_us:.2}"),
-        );
+        kdtree_csv.row(format_args!("{n},{side},{count},{cover},{s},{iqs_us:.2},{rep_us:.2}"));
     }
 
     println!("  cover-size scaling on full-height strips:");
@@ -311,15 +230,9 @@ fn e5_kdtree() {
             [0.55, f64::INFINITY, f64::INFINITY],
         );
         let c3 = kd3.cover(&strip3).len();
-        println!(
-            "{:>10} {:>12} {:>14.2} {:>12} {:>14.2}",
-            n,
-            c2,
-            c2 as f64 / (n as f64).sqrt(),
-            c3,
-            c3 as f64 / (n as f64).powf(2.0 / 3.0)
-        );
-        csv_row("e5_cover_scaling.csv", "n,cover2d,cover3d", &format!("{n},{c2},{c3}"));
+        let (r2, r3) = (c2 as f64 / (n as f64).sqrt(), c3 as f64 / (n as f64).powf(2.0 / 3.0));
+        println!("{n:>10} {c2:>12} {r2:>14.2} {c3:>12} {r3:>14.2}");
+        cover_scaling_csv.row(format_args!("{n},{c2},{c3}"));
     }
 
     let clustered = clustered_points2(n, 8, 53);
@@ -337,7 +250,8 @@ fn e5_kdtree() {
 // =====================================================================
 // E6 — Theorem 5 on a range tree.
 // =====================================================================
-fn e6_rangetree() {
+fn e6_rangetree(_: Opts) {
+    let csv = Csv::new("e6_rangetree.csv", "n,rt_cover,kd_cover,rt_us,kd_us,rt_words,kd_words");
     println!("E6  Theorem 5 @ range tree vs kd-tree, s = 64");
     println!(
         "{:>9} {:>9} {:>9} {:>12} {:>12} {:>15} {:>13}",
@@ -353,29 +267,16 @@ fn e6_rangetree() {
         let rt_cover = rt.index().cover(&q).len();
         let kd_cover = kd.index().cover(&q).len();
         let s = 64usize;
-        let mut sink = 0usize;
-        let rt_us = time_ns(|| sink ^= rt.sample_wr(&q, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        let kd_us = time_ns(|| sink ^= kd.sample_wr(&q, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        std::hint::black_box(sink);
+        let rt_us = time_ns(|| rt.sample_wr(&q, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
+        let kd_us = time_ns(|| kd.sample_wr(&q, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
+        let (rt_words, kd_words) = (rt.space_words(), kd.space_words());
         println!(
-            "{:>9} {:>9} {:>9} {:>12.1} {:>12.1} {:>15} {:>13}",
-            n,
-            rt_cover,
-            kd_cover,
-            rt_us,
-            kd_us,
-            rt.space_words(),
-            kd.space_words()
+            "{n:>9} {rt_cover:>9} {kd_cover:>9} {rt_us:>12.1} {kd_us:>12.1} \
+             {rt_words:>15} {kd_words:>13}"
         );
-        csv_row(
-            "e6_rangetree.csv",
-            "n,rt_cover,kd_cover,rt_us,kd_us,rt_words,kd_words",
-            &format!(
-                "{n},{rt_cover},{kd_cover},{rt_us:.2},{kd_us:.2},{},{}",
-                rt.space_words(),
-                kd.space_words()
-            ),
-        );
+        csv.row(format_args!(
+            "{n},{rt_cover},{kd_cover},{rt_us:.2},{kd_us:.2},{rt_words},{kd_words}"
+        ));
     }
     println!("  claims: rt cover ~log² n ≪ kd cover ~√n; rt space ~n log n ≫ kd space ~n.\n");
 }
@@ -383,7 +284,8 @@ fn e6_rangetree() {
 // =====================================================================
 // E7 — Theorem 6 / Corollary 7: complement range sampling.
 // =====================================================================
-fn e7_approx_cover() {
+fn e7_approx_cover(_: Opts) {
+    let csv = Csv::new("e7_approx.csv", "n,s,approx_us,exact_us");
     println!("E7  complement sampling — approx cover (≤2, Cor 7) vs exact covers (Θ(log n))");
     println!("{:>9} {:>5} {:>16} {:>16}", "n", "s", "approx us/q", "exact us/q");
     let mut rng = StdRng::seed_from_u64(7);
@@ -399,9 +301,7 @@ fn e7_approx_cover() {
         let keys = exact.keys();
         let (pre_hi, suf_lo) = (keys[a - 1], keys[b]);
         for s in [1usize, 4, 16, 256] {
-            let mut sink = 0usize;
-            let a_us =
-                time_ns(|| sink ^= comp.sample_wr(x, y, s, &mut rng).unwrap()[0], 50, 5) / 1e3;
+            let a_us = time_ns(|| comp.sample_wr(x, y, s, &mut rng).unwrap()[0], 50, 5) / 1e3;
             let e_us = time_ns(
                 || {
                     let w_pre = a as f64;
@@ -412,25 +312,19 @@ fn e7_approx_cover() {
                             s1 += 1;
                         }
                     }
-                    if s1 > 0 {
-                        sink ^=
-                            exact.sample_wr(f64::NEG_INFINITY, pre_hi, s1, &mut rng).unwrap()[0];
-                    }
-                    if s - s1 > 0 {
-                        sink ^=
-                            exact.sample_wr(suf_lo, f64::INFINITY, s - s1, &mut rng).unwrap()[0];
-                    }
+                    let pre = (s1 > 0).then(|| {
+                        exact.sample_wr(f64::NEG_INFINITY, pre_hi, s1, &mut rng).unwrap()[0]
+                    });
+                    let suf = (s1 < s).then(|| {
+                        exact.sample_wr(suf_lo, f64::INFINITY, s - s1, &mut rng).unwrap()[0]
+                    });
+                    (pre, suf)
                 },
                 50,
                 5,
             ) / 1e3;
-            std::hint::black_box(sink);
             println!("{:>9} {:>5} {:>16.2} {:>16.2}", n, s, a_us, e_us);
-            csv_row(
-                "e7_approx.csv",
-                "n,s,approx_us,exact_us",
-                &format!("{n},{s},{a_us:.2},{e_us:.2}"),
-            );
+            csv.row(format_args!("{n},{s},{a_us:.2},{e_us:.2}"));
         }
     }
     println!("  claim: approx-cover query is O(s) with no log-n term; wins at small s.\n");
@@ -439,7 +333,8 @@ fn e7_approx_cover() {
 // =====================================================================
 // E8 — Theorem 8: set-union sampling.
 // =====================================================================
-fn e8_setunion() {
+fn e8_setunion(_: Opts) {
+    let csv = Csv::new("e8_setunion.csv", "g,total,union,iqs_us,naive_us,p");
     println!("E8  Theorem 8 — set-union sampling vs naive union materialization");
     println!(
         "{:>5} {:>10} {:>12} {:>14} {:>14} {:>10}",
@@ -454,11 +349,8 @@ fn e8_setunion() {
         let g: Vec<usize> = (0..g_size).collect();
         let total: usize = g.iter().map(|&i| family[i].len()).sum();
         let union = sampler.exact_union(&g);
-        let mut sink = 0u64;
-        let iqs_us = time_ns(|| sink ^= sampler.sample(&g, &mut rng).unwrap(), 30, 5) / 1e3;
-        let naive_us =
-            time_ns(|| sink ^= naive_union_sample(&family, &g, &mut rng).unwrap(), 5, 3) / 1e3;
-        std::hint::black_box(sink);
+        let iqs_us = time_ns(|| sampler.sample(&g, &mut rng).unwrap(), 30, 5) / 1e3;
+        let naive_us = time_ns(|| naive_union_sample(&family, &g, &mut rng).unwrap(), 5, 3) / 1e3;
         // Uniformity over a coarse bucketing of the union.
         let buckets = 50usize;
         let mut counts = vec![0u64; buckets];
@@ -484,19 +376,26 @@ fn e8_setunion() {
             "{:>5} {:>10} {:>12} {:>14.1} {:>14.1} {:>10.3}",
             g_size, total, union, iqs_us, naive_us, gof.p_value
         );
-        csv_row(
-            "e8_setunion.csv",
-            "g,total,union,iqs_us,naive_us,p",
-            &format!("{g_size},{total},{union},{iqs_us:.2},{naive_us:.2},{:.4}", gof.p_value),
-        );
+        csv.row(format_args!(
+            "{g_size},{total},{union},{iqs_us:.2},{naive_us:.2},{:.4}",
+            gof.p_value
+        ));
     }
     println!("  claim: IQS ~g·log² n per sample (flat in Σ|S_i|); naive ~Σ|S_i|.\n");
+}
+
+/// Block transfers `machine` counts while `op` runs.
+fn ios<R>(machine: &EmMachine, op: impl FnOnce() -> R) -> u64 {
+    machine.reset_stats();
+    op();
+    machine.stats().total()
 }
 
 // =====================================================================
 // E9 — §8: EM set sampling I/O counts.
 // =====================================================================
-fn e9_em_set() {
+fn e9_em_set(_: Opts) {
+    let csv = Csv::new("e9_em_set.csv", "B,s,pool_ios,naive_ios");
     println!("E9  §8 EM set sampling — I/Os per query (n = 2^20)");
     println!("{:>6} {:>8} {:>14} {:>14} {:>9}", "B", "s", "pool I/Os", "naive I/Os", "ratio");
     let mut rng = StdRng::seed_from_u64(9);
@@ -507,21 +406,11 @@ fn e9_em_set() {
         let mut pool = SamplePool::new(&machine, data.clone(), &mut rng);
         let naive = NaiveEmSampler::new(&machine, data.clone());
         for s in [1024usize, 8192, 65_536] {
-            machine.reset_stats();
-            pool.query(s, &mut rng);
-            let p_ios = machine.stats().total();
-            machine.reset_stats();
-            naive.query(s, &mut rng);
-            let n_ios = machine.stats().total();
-            println!(
-                "{:>6} {:>8} {:>14} {:>14} {:>8.1}x",
-                b,
-                s,
-                p_ios,
-                n_ios,
-                n_ios as f64 / p_ios.max(1) as f64
-            );
-            csv_row("e9_em_set.csv", "B,s,pool_ios,naive_ios", &format!("{b},{s},{p_ios},{n_ios}"));
+            let p_ios = ios(&machine, || pool.query(s, &mut rng));
+            let n_ios = ios(&machine, || naive.query(s, &mut rng));
+            let ratio = n_ios as f64 / p_ios.max(1) as f64;
+            println!("{b:>6} {s:>8} {p_ios:>14} {n_ios:>14} {ratio:>8.1}x");
+            csv.row(format_args!("{b},{s},{p_ios},{n_ios}"));
         }
     }
     println!(
@@ -532,7 +421,8 @@ fn e9_em_set() {
 // =====================================================================
 // E10 — §8: EM range sampling I/O counts.
 // =====================================================================
-fn e10_em_range() {
+fn e10_em_range(_: Opts) {
+    let csv = Csv::new("e10_em_range.csv", "s,count,pool_ios,randacc_ios,report_ios");
     println!("E10  §8 EM range sampling — I/Os per query (n = 2^20, B = 256)");
     println!(
         "{:>8} {:>12} {:>14} {:>14} {:>18}",
@@ -549,22 +439,12 @@ fn e10_em_range() {
         let x = n as f64 * (0.5 - frac / 2.0);
         let y = n as f64 * (0.5 + frac / 2.0);
         pool.query(x, y, 64, &mut rng); // warm pools once
-        machine.reset_stats();
-        pool.query(x, y, s, &mut rng).unwrap();
-        let p_ios = machine.stats().total();
-        machine.reset_stats();
-        naive.query_random_access(x, y, s, &mut rng).unwrap();
-        let r_ios = machine.stats().total();
-        machine.reset_stats();
-        naive.query_report_then_sample(x, y, s, &mut rng).unwrap();
-        let rep_ios = machine.stats().total();
+        let p_ios = ios(&machine, || pool.query(x, y, s, &mut rng).unwrap());
+        let r_ios = ios(&machine, || naive.query_random_access(x, y, s, &mut rng).unwrap());
+        let rep_ios = ios(&machine, || naive.query_report_then_sample(x, y, s, &mut rng).unwrap());
         let count = (y - x) as usize;
         println!("{:>8} {:>12} {:>14} {:>14} {:>18}", s, count, p_ios, r_ios, rep_ios);
-        csv_row(
-            "e10_em_range.csv",
-            "s,count,pool_ios,randacc_ios,report_ios",
-            &format!("{s},{count},{p_ios},{r_ios},{rep_ios}"),
-        );
+        csv.row(format_args!("{s},{count},{p_ios},{r_ios},{rep_ios}"));
     }
     println!("  claim: pool ~log + s/B amortized; random access ~s; report ~|S_q|/B.\n");
 }
@@ -572,7 +452,8 @@ fn e10_em_range() {
 // =====================================================================
 // E11 — Direction 1: dynamic alias under interleaved updates.
 // =====================================================================
-fn e11_dynamic_alias() {
+fn e11_dynamic_alias(_: Opts) {
+    let csv = Csv::new("e11_dynamic.csv", "n,sample_ns,insert_ns,remove_ns,rebuild_us");
     println!("E11  dynamic alias — expected O(1) ops under updates");
     println!(
         "{:>10} {:>14} {:>14} {:>14} {:>18}",
@@ -585,8 +466,7 @@ fn e11_dynamic_alias() {
         for i in 0..n as u64 {
             d.insert(i, 0.1 + rng.random::<f64>() * 100.0).unwrap();
         }
-        let mut sink = 0u64;
-        let s_ns = time_ns(|| sink ^= d.sample(&mut rng).unwrap(), 20_000, 5);
+        let s_ns = time_ns(|| d.sample(&mut rng).unwrap(), 20_000, 5);
         let mut next_id = n as u64;
         let i_ns = time_ns(
             || {
@@ -606,20 +486,9 @@ fn e11_dynamic_alias() {
             3,
         );
         let weights: Vec<f64> = (0..n).map(|_| 0.1 + rng.random::<f64>()).collect();
-        let rebuild_us = time_ns(
-            || {
-                std::hint::black_box(AliasTable::new(&weights).unwrap().len());
-            },
-            3,
-            3,
-        ) / 1e3;
-        std::hint::black_box(sink);
+        let rebuild_us = time_ns(|| AliasTable::new(&weights).unwrap().len(), 3, 3) / 1e3;
         println!("{:>10} {:>14.1} {:>14.1} {:>14.1} {:>18.1}", n, s_ns, i_ns, r_ns, rebuild_us);
-        csv_row(
-            "e11_dynamic.csv",
-            "n,sample_ns,insert_ns,remove_ns,rebuild_us",
-            &format!("{n},{s_ns:.1},{i_ns:.1},{r_ns:.1},{rebuild_us:.1}"),
-        );
+        csv.row(format_args!("{n},{s_ns:.1},{i_ns:.1},{r_ns:.1},{rebuild_us:.1}"));
     }
     println!("  claim: all dynamic ops flat in n; static rebuild linear in n.\n");
 }
@@ -627,7 +496,8 @@ fn e11_dynamic_alias() {
 // =====================================================================
 // F1 — cross-query independence: IQS passes, dependent fails.
 // =====================================================================
-fn f1_independence() {
+fn f1_independence(_: Opts) {
+    let csv = Csv::new("f1_independence.csv", "structure,mean_overlap,expected");
     println!("F1  repeated-identical-query overlap test (k = 400, s = 20, 1000 rounds)");
     println!(
         "{:>12} {:>15} {:>15} {:>10}",
@@ -643,29 +513,22 @@ fn f1_independence() {
         ),
         ("thm3", Box::new(ChunkedRange::new(keyed_weights(n, Weights::Unit, 90)).unwrap())),
     ];
-    for (name, sampler) in &structures {
-        let mut rng = StdRng::seed_from_u64(91);
-        let rep = overlap_test(n, s, 1000, || {
-            sampler
-                .sample_wor(f64::NEG_INFINITY, f64::INFINITY, s, &mut rng)
-                .unwrap()
-                .into_iter()
-                .map(|r| r as u64)
-                .collect()
-        });
-        println!(
-            "{:>12} {:>15.2} {:>15.2} {:>10}",
-            name,
-            rep.mean_overlap,
-            rep.expected_independent,
-            if rep.looks_independent(0.35) { "PASS" } else { "FAIL" }
-        );
-        csv_row(
-            "f1_independence.csv",
-            "structure,mean_overlap,expected",
-            &format!("{name},{:.3},{:.3}", rep.mean_overlap, rep.expected_independent),
-        );
-    }
+    // (name, report, verdict when the overlap test fails)
+    let mut reports: Vec<(&str, OverlapReport, &str)> = structures
+        .iter()
+        .map(|(name, sampler)| {
+            let mut rng = StdRng::seed_from_u64(91);
+            let rep = overlap_test(n, s, 1000, || {
+                sampler
+                    .sample_wor(f64::NEG_INFINITY, f64::INFINITY, s, &mut rng)
+                    .unwrap()
+                    .into_iter()
+                    .map(|r| r as u64)
+                    .collect()
+            });
+            (*name, rep, "FAIL")
+        })
+        .collect();
     let mut rng = StdRng::seed_from_u64(92);
     let dep = DependentRange::new((0..n).map(|i| i as f64).collect(), &mut rng).unwrap();
     let rep = overlap_test(n, s, 50, || {
@@ -675,18 +538,13 @@ fn f1_independence() {
             .map(|r| r as u64)
             .collect()
     });
-    println!(
-        "{:>12} {:>15.2} {:>15.2} {:>10}",
-        "dependent",
-        rep.mean_overlap,
-        rep.expected_independent,
-        if rep.looks_independent(0.35) { "PASS" } else { "FAIL (by design)" }
-    );
-    csv_row(
-        "f1_independence.csv",
-        "structure,mean_overlap,expected",
-        &format!("dependent,{:.3},{:.3}", rep.mean_overlap, rep.expected_independent),
-    );
+    reports.push(("dependent", rep, "FAIL (by design)"));
+    for (name, rep, fail) in reports {
+        let (mean, expected) = (rep.mean_overlap, rep.expected_independent);
+        let verdict = if rep.looks_independent(0.35) { "PASS" } else { fail };
+        println!("{name:>12} {mean:>15.2} {expected:>15.2} {verdict:>10}");
+        csv.row(format_args!("{name},{mean:.3},{expected:.3}"));
+    }
     println!(
         "  claim: IQS overlap ≈ s²/k = {:.1}; dependent = s = {s}.\n",
         (s * s) as f64 / n as f64
@@ -696,7 +554,8 @@ fn f1_independence() {
 // =====================================================================
 // F2 — Benefit 1: failure concentration of repeated estimates.
 // =====================================================================
-fn f2_concentration() {
+fn f2_concentration(_: Opts) {
+    let csv = Csv::new("f2_concentration.csv", "regime,failures,longest_run,block_var");
     println!("F2  estimation-error concentration over m = 1500 estimates (ε=.02, δ=.3)");
     let mut rng = StdRng::seed_from_u64(93);
     let n = 200_000usize;
@@ -715,13 +574,6 @@ fn f2_concentration() {
         })
         .collect();
     let runs = ErrorRuns::new(fails);
-    println!(
-        "  IQS: failures {}/{m} (rate {:.3}), longest run {}, block var {:.2}",
-        runs.failure_count(),
-        runs.failure_rate(),
-        runs.longest_failure_run(),
-        runs.block_count_variance(30),
-    );
     let dep = DependentRange::new(sampler.keys().to_vec(), &mut rng).unwrap();
     let mut dep_fails = Vec::with_capacity(m);
     for band in 0..30 {
@@ -735,33 +587,15 @@ fn f2_concentration() {
         dep_fails.extend(std::iter::repeat_n(failed, m / 30));
     }
     let dep_runs = ErrorRuns::new(dep_fails);
-    println!(
-        "  dependent: failures {}/{m} (rate {:.3}), longest run {}, block var {:.2}",
-        dep_runs.failure_count(),
-        dep_runs.failure_rate(),
-        dep_runs.longest_failure_run(),
-        dep_runs.block_count_variance(30),
-    );
-    csv_row(
-        "f2_concentration.csv",
-        "regime,failures,longest_run,block_var",
-        &format!(
-            "iqs,{},{},{:.3}",
-            runs.failure_count(),
-            runs.longest_failure_run(),
-            runs.block_count_variance(30)
-        ),
-    );
-    csv_row(
-        "f2_concentration.csv",
-        "regime,failures,longest_run,block_var",
-        &format!(
-            "dependent,{},{},{:.3}",
-            dep_runs.failure_count(),
-            dep_runs.longest_failure_run(),
-            dep_runs.block_count_variance(30)
-        ),
-    );
+    for (label, regime, runs) in [("IQS", "iqs", &runs), ("dependent", "dependent", &dep_runs)] {
+        let (count, rate) = (runs.failure_count(), runs.failure_rate());
+        let (longest, var) = (runs.longest_failure_run(), runs.block_count_variance(30));
+        println!(
+            "  {label}: failures {count}/{m} (rate {rate:.3}), longest run {longest}, \
+             block var {var:.2}"
+        );
+        csv.row(format_args!("{regime},{count},{longest},{var:.3}"));
+    }
     println!(
         "  claim: IQS runs ~log-length, counts concentrated; dependence makes runs of m/30.\n"
     );
@@ -770,7 +604,8 @@ fn f2_concentration() {
 // =====================================================================
 // F3 — Benefit 2: fairness of repeated identical inquiries.
 // =====================================================================
-fn f3_fairness() {
+fn f3_fairness(_: Opts) {
+    let csv = Csv::new("f3_fairness.csv", "regime,shown,of,chi2,p");
     println!("F3  exposure fairness over 10 000 identical inquiries (s = 10)");
     let mut rng = StdRng::seed_from_u64(95);
     let n = 5_000usize;
@@ -799,11 +634,7 @@ fn f3_fairness() {
             gof.p_value,
             if gof.consistent_at(1e-6) { "FAIR" } else { "UNFAIR" }
         );
-        csv_row(
-            "f3_fairness.csv",
-            "regime,shown,of,chi2,p",
-            &format!("{name},{shown},{k},{:.1},{:.3e}", gof.statistic, gof.p_value),
-        );
+        csv.row(format_args!("{name},{shown},{k},{:.1},{:.3e}", gof.statistic, gof.p_value));
     }
     println!();
 }
@@ -811,7 +642,8 @@ fn f3_fairness() {
 // =====================================================================
 // F4 — §1 headline: sampling beats reporting when s ≪ |S_q|.
 // =====================================================================
-fn f4_crossover() {
+fn f4_crossover(_: Opts) {
+    let csv = Csv::new("f4_crossover.csv", "count,iqs_us,report_us");
     println!("F4  IQS vs report-then-sample crossover (s = 16, n = 2^20)");
     println!("{:>12} {:>13} {:>15} {:>9}", "|S_q|", "IQS us/q", "report us/q", "winner");
     let mut rng = StdRng::seed_from_u64(97);
@@ -826,22 +658,11 @@ fn f4_crossover() {
         if count == 0 {
             continue;
         }
-        let mut sink = 0usize;
-        let i_us = time_ns(|| sink ^= iqs.sample_wr(x, y, s, &mut rng).unwrap()[0], 50, 5) / 1e3;
-        let r_us = time_ns(|| sink ^= rep.sample_wr(x, y, s, &mut rng).unwrap()[0], 10, 5) / 1e3;
-        std::hint::black_box(sink);
-        println!(
-            "{:>12} {:>13.2} {:>15.2} {:>9}",
-            count,
-            i_us,
-            r_us,
-            if i_us < r_us { "IQS" } else { "report" }
-        );
-        csv_row(
-            "f4_crossover.csv",
-            "count,iqs_us,report_us",
-            &format!("{count},{i_us:.3},{r_us:.3}"),
-        );
+        let i_us = time_ns(|| iqs.sample_wr(x, y, s, &mut rng).unwrap()[0], 50, 5) / 1e3;
+        let r_us = time_ns(|| rep.sample_wr(x, y, s, &mut rng).unwrap()[0], 10, 5) / 1e3;
+        let winner = if i_us < r_us { "IQS" } else { "report" };
+        println!("{count:>12} {i_us:>13.2} {r_us:>15.2} {winner:>9}");
+        csv.row(format_args!("{count},{i_us:.3},{r_us:.3}"));
     }
     println!("  claim: report cost grows with |S_q|; IQS flat; IQS wins from small |S_q| on.\n");
 }
@@ -849,7 +670,8 @@ fn f4_crossover() {
 // =====================================================================
 // E12 — Direction 1 applied to the headline problem: DynamicRange.
 // =====================================================================
-fn e12_dynamic_range() {
+fn e12_dynamic_range(_: Opts) {
+    let csv = Csv::new("e12_dynamic_range.csv", "n,insert_us,remove_us,query_us,static_query_us");
     println!("E12  dynamized range sampling (Bentley–Saxe over Theorem-3 levels)");
     println!(
         "{:>10} {:>12} {:>12} {:>13} {:>14}",
@@ -870,11 +692,8 @@ fn e12_dynamic_range() {
                 .unwrap();
         let (x, y) = (n as f64 * 0.1, n as f64 * 0.9);
         let s = 64usize;
-        let mut sink = 0u64;
-        let q_us = time_ns(|| sink ^= d.sample_wr(x, y, s, &mut rng).unwrap()[0].0, 20, 5) / 1e3;
-        let mut sink2 = 0usize;
-        let sq_us =
-            time_ns(|| sink2 ^= static_s.sample_wr(x, y, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
+        let q_us = time_ns(|| d.sample_wr(x, y, s, &mut rng).unwrap()[0].0, 20, 5) / 1e3;
+        let sq_us = time_ns(|| static_s.sample_wr(x, y, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
         // Interleave deletes.
         let del_start = std::time::Instant::now();
         let dels = n / 4;
@@ -882,16 +701,8 @@ fn e12_dynamic_range() {
             d.remove(i * 2);
         }
         let remove_us = del_start.elapsed().as_micros() as f64 / dels as f64;
-        std::hint::black_box((sink, sink2));
-        println!(
-            "{:>10} {:>12.2} {:>12.2} {:>13.1} {:>14.1}",
-            n, insert_us, remove_us, q_us, sq_us
-        );
-        csv_row(
-            "e12_dynamic_range.csv",
-            "n,insert_us,remove_us,query_us,static_query_us",
-            &format!("{n},{insert_us:.3},{remove_us:.3},{q_us:.2},{sq_us:.2}"),
-        );
+        println!("{n:>10} {insert_us:>12.2} {remove_us:>12.2} {q_us:>13.1} {sq_us:>14.1}");
+        csv.row(format_args!("{n},{insert_us:.3},{remove_us:.3},{q_us:.2},{sq_us:.2}"));
     }
     println!("  claim: amortized polylog updates; queries within a small factor of static.\n");
 }
@@ -899,7 +710,8 @@ fn e12_dynamic_range() {
 // =====================================================================
 // E13 — WoR methods: rejection vs A-Res (reporting) vs A-ExpJ (jumps).
 // =====================================================================
-fn e13_wor_methods() {
+fn e13_wor_methods(_: Opts) {
+    let csv = Csv::new("e13_wor.csv", "s,rejection_us,ares_us,expj_us");
     println!("E13  weighted WoR: rejection vs A-Res vs A-ExpJ (n = 2^18, |S_q| = 2^17)");
     println!("{:>9} {:>15} {:>14} {:>14}", "s", "rejection us", "A-Res us", "A-ExpJ us");
     let mut rng = StdRng::seed_from_u64(130);
@@ -911,30 +723,19 @@ fn e13_wor_methods() {
     let (a, b) = chunked.rank_range(x, y);
     let range_weights: Vec<f64> = chunked.weights()[a..b].to_vec();
     for s in [16usize, 256, 4096, 65_536, b - a - 1] {
-        let mut sink = 0usize;
         // Rejection WoR stalls when s approaches |S_q|: cap the timing
         // effort there and mark it.
         let rej_us = if s * 2 <= b - a {
-            time_ns(|| sink ^= chunked.sample_wor(x, y, s, &mut rng).unwrap()[0], 5, 3) / 1e3
+            time_ns(|| chunked.sample_wor(x, y, s, &mut rng).unwrap()[0], 5, 3) / 1e3
         } else {
             f64::NAN // coupon-collector regime: skipped
         };
-        let ares_us = time_ns(
-            || {
-                sink ^= iqs_alias::wor::a_res_weighted_wor(&range_weights, s, &mut rng)[0];
-            },
-            5,
-            3,
-        ) / 1e3;
-        let expj_us =
-            time_ns(|| sink ^= expj.sample_wor(x, y, s, &mut rng).unwrap()[0], 5, 3) / 1e3;
-        std::hint::black_box(sink);
+        let ares_us =
+            time_ns(|| iqs_alias::wor::a_res_weighted_wor(&range_weights, s, &mut rng)[0], 5, 3)
+                / 1e3;
+        let expj_us = time_ns(|| expj.sample_wor(x, y, s, &mut rng).unwrap()[0], 5, 3) / 1e3;
         println!("{:>9} {:>15.1} {:>14.1} {:>14.1}", s, rej_us, ares_us, expj_us);
-        csv_row(
-            "e13_wor.csv",
-            "s,rejection_us,ares_us,expj_us",
-            &format!("{s},{rej_us:.2},{ares_us:.2},{expj_us:.2}"),
-        );
+        csv.row(format_args!("{s},{rej_us:.2},{ares_us:.2},{expj_us:.2}"));
     }
     println!(
         "  claim: A-Res pays |S_q| regardless of s; rejection is fast for small s but \
@@ -945,7 +746,8 @@ fn e13_wor_methods() {
 // =====================================================================
 // A1 — ablation: Theorem 3's chunk length.
 // =====================================================================
-fn a1_chunk_len_ablation() {
+fn a1_chunk_len_ablation(_: Opts) {
+    let csv = Csv::new("a1_chunk_len.csv", "chunk,space_words,query_us");
     println!("A1  Theorem-3 chunk-length ablation (n = 2^18, s = 64)");
     println!("{:>10} {:>14} {:>13}", "chunk c", "space words", "query us");
     let mut rng = StdRng::seed_from_u64(140);
@@ -957,16 +759,10 @@ fn a1_chunk_len_ablation() {
             ChunkedRange::with_chunk_len(keyed_weights(n, Weights::Uniform, 141), c.max(1))
                 .unwrap();
         let (x, y) = (n as f64 * 0.1, n as f64 * 0.9);
-        let mut sink = 0usize;
-        let q_us =
-            time_ns(|| sink ^= sampler.sample_wr(x, y, 64, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        std::hint::black_box(sink);
-        println!("{:>10} {:>14} {:>13.2}", c, sampler.space_words(), q_us);
-        csv_row(
-            "a1_chunk_len.csv",
-            "chunk,space_words,query_us",
-            &format!("{c},{},{q_us:.3}", sampler.space_words()),
-        );
+        let q_us = time_ns(|| sampler.sample_wr(x, y, 64, &mut rng).unwrap()[0], 20, 5) / 1e3;
+        let words = sampler.space_words();
+        println!("{c:>10} {words:>14} {q_us:>13.2}");
+        csv.row(format_args!("{c},{words},{q_us:.3}"));
     }
     println!("  claim: tiny chunks inflate T_chunk space (n log n regime); huge chunks slow the\n         boundary scans; c = Θ(log n) sits at the joint optimum.\n");
 }
@@ -974,7 +770,8 @@ fn a1_chunk_len_ablation() {
 // =====================================================================
 // A2 — ablation: KMV sketch capacity k (Theorem 8's Û_G accuracy).
 // =====================================================================
-fn a2_sketch_k_ablation() {
+fn a2_sketch_k_ablation(_: Opts) {
+    let csv = Csv::new("a2_sketch_k.csv", "k,mean_rel_err,within_band_pct");
     println!("A2  KMV sketch-capacity ablation (distinct count = 100 000)");
     println!("{:>8} {:>16} {:>18}", "k", "mean |rel err|", "within [Û/2,1.5Û] %");
     let n_distinct = 100_000u64;
@@ -991,12 +788,9 @@ fn a2_sketch_k_ablation() {
                 within += 1;
             }
         }
-        println!("{:>8} {:>16.4} {:>17.0}%", k, abs_err, 100.0 * within as f64 / trials as f64);
-        csv_row(
-            "a2_sketch_k.csv",
-            "k,mean_rel_err,within_band_pct",
-            &format!("{k},{abs_err:.4},{:.0}", 100.0 * within as f64 / trials as f64),
-        );
+        let pct = 100.0 * within as f64 / trials as f64;
+        println!("{k:>8} {abs_err:>16.4} {pct:>17.0}%");
+        csv.row(format_args!("{k},{abs_err:.4},{pct:.0}"));
     }
     println!(
         "  claim: rel. error ~1/sqrt(k); k = 64 (the sampler default) is safely inside the band.\n"
@@ -1006,7 +800,8 @@ fn a2_sketch_k_ablation() {
 // =====================================================================
 // A3 — ablation: kd-tree leaf capacity.
 // =====================================================================
-fn a3_leaf_cap_ablation() {
+fn a3_leaf_cap_ablation(_: Opts) {
+    let csv = Csv::new("a3_leaf_cap.csv", "cap,nodes,cover,query_us");
     println!("A3  kd-tree leaf-capacity ablation (n = 2^16, s = 64)");
     println!("{:>10} {:>10} {:>10} {:>13}", "leaf cap", "nodes", "cover", "query us");
     let mut rng = StdRng::seed_from_u64(150);
@@ -1017,15 +812,10 @@ fn a3_leaf_cap_ablation() {
         let kd =
             CoverageSampler::new(KdTree::with_leaf_cap(pts.clone(), vec![1.0; n], cap).unwrap());
         let cover = kd.index().cover(&q).len();
-        let mut sink = 0usize;
-        let q_us = time_ns(|| sink ^= kd.sample_wr(&q, 64, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        std::hint::black_box(sink);
-        println!("{:>10} {:>10} {:>10} {:>13.2}", cap, kd.index().node_count(), cover, q_us);
-        csv_row(
-            "a3_leaf_cap.csv",
-            "cap,nodes,cover,query_us",
-            &format!("{cap},{},{cover},{q_us:.3}", kd.index().node_count()),
-        );
+        let q_us = time_ns(|| kd.sample_wr(&q, 64, &mut rng).unwrap()[0], 20, 5) / 1e3;
+        let nodes = kd.index().node_count();
+        println!("{cap:>10} {nodes:>10} {cover:>10} {q_us:>13.2}");
+        csv.row(format_args!("{cap},{nodes},{cover},{q_us:.3}"));
     }
     println!(
         "  claim: small caps grow the arena; large caps grow boundary covers; 4-32 is flat.\n"
@@ -1036,7 +826,8 @@ fn a3_leaf_cap_ablation() {
 // E14 — Theorem 5 beyond rectangles: halfspace and disc predicates,
 // exact kd covers vs the Theorem-6 approximate quadtree route.
 // =====================================================================
-fn e14_regions() {
+fn e14_regions(_: Opts) {
+    let csv = Csv::new("e14_regions.csv", "kind,param,count,cover,us");
     println!("E14  generic regions: halfplane + disc (exact kd covers vs approx quadtree)");
     let mut rng = StdRng::seed_from_u64(160);
     let n = 1usize << 16;
@@ -1054,15 +845,9 @@ fn e14_regions() {
             continue;
         }
         let cover = kd.region_cover(&h).len();
-        let mut sink = 0usize;
-        let us = time_ns(|| sink ^= kd.sample_region_wr(&h, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        std::hint::black_box(sink);
+        let us = time_ns(|| kd.sample_region_wr(&h, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
         println!("{:>8} {:>10} {:>9} {:>13.1}", c, count, cover, us);
-        csv_row(
-            "e14_regions.csv",
-            "kind,param,count,cover,us",
-            &format!("halfplane,{c},{count},{cover},{us:.2}"),
-        );
+        csv.row(format_args!("halfplane,{c},{count},{cover},{us:.2}"));
     }
 
     println!("  disc radius sweep: exact kd cover vs approx quadtree (Thm 6):");
@@ -1079,28 +864,14 @@ fn e14_regions() {
         let kd_cover = kd.region_cover(&d).len();
         let q: (iqs_spatial::Point<2>, f64) = ([0.5, 0.5].into(), r);
         let qt_cover = qt.index().approx_cover_circle(&q.0, r).len();
-        let mut sink = 0usize;
-        let kd_us =
-            time_ns(|| sink ^= kd.sample_region_wr(&d, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        let qt_us = time_ns(|| sink ^= qt.sample_wr(&q, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
-        std::hint::black_box(sink);
+        let kd_us = time_ns(|| kd.sample_region_wr(&d, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
+        let qt_us = time_ns(|| qt.sample_wr(&q, s, &mut rng).unwrap()[0], 20, 5) / 1e3;
         // Both must be uniform over the true disc: sanity-check supports.
         let truly = pts.iter().filter(|p| dist2(p, &q.0) <= r * r).count();
         assert_eq!(count, truly);
-        println!(
-            "{:>8} {:>10} {:>10} {:>13.1} {:>10} {:>14.1}",
-            r, count, kd_cover, kd_us, qt_cover, qt_us
-        );
-        csv_row(
-            "e14_regions.csv",
-            "kind,param,count,cover,us",
-            &format!("disc_kd,{r},{count},{kd_cover},{kd_us:.2}"),
-        );
-        csv_row(
-            "e14_regions.csv",
-            "kind,param,count,cover,us",
-            &format!("disc_qt,{r},{count},{qt_cover},{qt_us:.2}"),
-        );
+        println!("{r:>8} {count:>10} {kd_cover:>10} {kd_us:>13.1} {qt_cover:>10} {qt_us:>14.1}");
+        csv.row(format_args!("disc_kd,{r},{count},{kd_cover},{kd_us:.2}"));
+        csv.row(format_args!("disc_qt,{r},{count},{qt_cover},{qt_us:.2}"));
     }
     println!(
         "  claim: exact covers enumerate boundary leaves (bigger covers, no rejection); the\n\
@@ -1111,7 +882,8 @@ fn e14_regions() {
 // =====================================================================
 // E15 — Direction 2 exploration: weighted range sampling in EM.
 // =====================================================================
-fn e15_em_weighted() {
+fn e15_em_weighted(_: Opts) {
+    let csv = Csv::new("e15_em_weighted.csv", "s,weighted_ios,unweighted_ios");
     println!("E15  Direction 2 — weighted EM range sampling (open problem; amortized shape)");
     println!(
         "{:>8} {:>14} {:>20} {:>18}",
@@ -1129,18 +901,10 @@ fn e15_em_weighted() {
     weighted.query(x, y, 1024, &mut rng);
     unweighted.query(x, y, 1024, &mut rng);
     for s in [256usize, 2048, 16_384] {
-        machine.reset_stats();
-        weighted.query(x, y, s, &mut rng).unwrap();
-        let w_ios = machine.stats().total();
-        machine.reset_stats();
-        unweighted.query(x, y, s, &mut rng).unwrap();
-        let u_ios = machine.stats().total();
+        let w_ios = ios(&machine, || weighted.query(x, y, s, &mut rng).unwrap());
+        let u_ios = ios(&machine, || unweighted.query(x, y, s, &mut rng).unwrap());
         println!("{:>8} {:>14} {:>20} {:>18.4}", s, w_ios, u_ios, w_ios as f64 / s as f64);
-        csv_row(
-            "e15_em_weighted.csv",
-            "s,weighted_ios,unweighted_ios",
-            &format!("{s},{w_ios},{u_ios}"),
-        );
+        csv.row(format_args!("{s},{w_ios},{u_ios}"));
     }
     println!(
         "  claim (conjectured target): ~log + s/B amortized, same shape as the WR structure;\n\
@@ -1153,12 +917,14 @@ fn e15_em_weighted() {
 // saturation, then an open-loop offered-QPS sweep measuring latency
 // quantiles, admission rejections, and deadline enforcement.
 // =====================================================================
-fn e17_service() {
+fn e17_service(Opts { smoke }: Opts) {
     use iqs_serve::{IndexRegistry, Request, Server, ServerConfig};
     use std::time::{Duration, Instant};
 
-    // CI sets E17_SMOKE=1 to run the same code with short intervals.
-    let smoke = std::env::var("E17_SMOKE").is_ok();
+    let csv = Csv::new(
+        "e17_service.csv",
+        "workers,offered_qps,achieved_qps,p50_us,p99_us,p999_us,rejected,deadline_missed",
+    );
     let workers = std::thread::available_parallelism().map(|n| n.get().min(4)).unwrap_or(4);
     let n = 1usize << if smoke { 14 } else { 18 };
     let s = 64u32;
@@ -1184,20 +950,17 @@ fn e17_service() {
     // Phase 1 — closed-loop saturation: 2x-workers clients calling
     // back-to-back give the service's maximum sustainable throughput.
     let before = server.metrics();
-    let sat_start = Instant::now();
-    std::thread::scope(|scope| {
-        for _ in 0..2 * workers {
-            let client = server.client();
-            scope.spawn(move || {
-                while sat_start.elapsed().as_secs_f64() < sat_secs {
-                    client.call(request()).expect("closed-loop call");
-                }
-            });
-        }
-    });
-    let sat_elapsed = sat_start.elapsed().as_secs_f64();
+    let sat_run = closed_loop(
+        2 * workers,
+        sat_secs,
+        false,
+        || server.client(),
+        |client| {
+            client.call(request()).expect("closed-loop call");
+        },
+    );
     let sat = server.metrics().minus(&before).expect("later snapshot dominates");
-    let sat_qps = sat.completed as f64 / sat_elapsed;
+    let sat_qps = sat_run.ops_per_sec();
     println!(
         "  saturation (closed loop, {} clients): {:.0} requests/s, p50 {:?}",
         2 * workers,
@@ -1239,29 +1002,16 @@ fn e17_service() {
         let elapsed = start.elapsed().as_secs_f64();
         let delta = server.metrics().minus(&before).expect("later snapshot dominates");
         let achieved = delta.completed as f64 / elapsed;
-        let us = |q: f64| delta.latency.quantile(q).map_or(f64::NAN, |d| d.as_secs_f64() * 1e6);
+        let [p50, p99, p999] = [0.50, 0.99, 0.999]
+            .map(|q| delta.latency.quantile(q).map_or(f64::NAN, |d| d.as_secs_f64() * 1e6));
+        let (rejected, missed) = (delta.rejected_overload, delta.deadline_missed);
         println!(
-            "  {:>12.0} {:>12.0} {:>9.0}u {:>9.0}u {:>9.0}u {:>9} {:>9}",
-            offered,
-            achieved,
-            us(0.50),
-            us(0.99),
-            us(0.999),
-            delta.rejected_overload,
-            delta.deadline_missed
+            "  {offered:>12.0} {achieved:>12.0} {p50:>9.0}u {p99:>9.0}u {p999:>9.0}u \
+             {rejected:>9} {missed:>9}"
         );
-        csv_row(
-            "e17_service.csv",
-            "workers,offered_qps,achieved_qps,p50_us,p99_us,p999_us,rejected,deadline_missed",
-            &format!(
-                "{workers},{offered:.0},{achieved:.0},{:.1},{:.1},{:.1},{},{}",
-                us(0.50),
-                us(0.99),
-                us(0.999),
-                delta.rejected_overload,
-                delta.deadline_missed
-            ),
-        );
+        csv.row(format_args!(
+            "{workers},{offered:.0},{achieved:.0},{p50:.1},{p99:.1},{p999:.1},{rejected},{missed}"
+        ));
     }
     let total = server.shutdown();
     println!(
@@ -1277,21 +1027,31 @@ fn e17_service() {
 // count at a fixed client population, then a degraded-mode sweep (one
 // replica down) measuring p50/p99 inflation under failover.
 // =====================================================================
-fn e18_sharded() {
+fn e18_sharded(Opts { smoke }: Opts) {
     use iqs_shard::{HealthPolicy, ShardConfig, ShardedService};
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
 
-    // CI sets E18_SMOKE=1 to run the same code with short intervals.
-    let smoke = std::env::var("E18_SMOKE").is_ok();
+    let sharded_scaling_csv =
+        Csv::new("e18_sharded_scaling.csv", "shards,replicas,clients,qps,p50_us,p99_us");
+    let degraded_csv = Csv::new("e18_degraded.csv", "mode,qps,p50_us,p99_us,failovers");
     let n = 1usize << if smoke { 13 } else { 16 };
     let s = 64u32;
     let clients = 4usize;
     let step_secs = if smoke { 0.15 } else { 0.6 };
-    let elements = || -> Vec<(u64, f64, f64)> {
-        (0..n).map(|i| (i as u64, i as f64, 1.0 + (i % 10) as f64)).collect()
-    };
-    let quantile = |sorted: &[Duration], q: f64| -> Duration {
-        sorted[((sorted.len() as f64 - 1.0) * q).round() as usize]
+    // One closed-loop step: queries/s, p50, p99. No read may fail or
+    // degrade, healthy or with one replica down (R=2 covers the loss).
+    let step = |svc: &ShardedService| {
+        let run = closed_loop(
+            clients,
+            step_secs,
+            true,
+            || svc.client(),
+            |client| {
+                let drawn = client.sample_wr(None, s).expect("query must not fail");
+                assert!(!drawn.degraded && drawn.missing == 0, "query must not degrade");
+            },
+        );
+        (run.ops_per_sec(), quantile(&run.latencies, 0.50), quantile(&run.latencies, 0.99))
     };
 
     println!("E18 sharded tier — n = {n}, s = {s} per query, {clients} closed-loop clients");
@@ -1303,51 +1063,23 @@ fn e18_sharded() {
     println!("  {:>7} {:>12} {:>10} {:>10}", "shards", "queries/s", "p50", "p99");
     for &shards in &[1usize, 2, 4, 8] {
         let svc = ShardedService::new(
-            elements(),
+            keyed_elements(0..n),
             ShardConfig { shards, replicas: 1, seed: 18, ..ShardConfig::default() },
         )
         .expect("cluster build");
-        let start = Instant::now();
-        let latencies: Vec<Vec<Duration>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|_| {
-                    let mut client = svc.client();
-                    scope.spawn(move || {
-                        let mut lat = Vec::new();
-                        while start.elapsed().as_secs_f64() < step_secs {
-                            let t = Instant::now();
-                            let drawn = client.sample_wr(None, s).expect("healthy cluster query");
-                            lat.push(t.elapsed());
-                            assert!(!drawn.degraded);
-                        }
-                        lat
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("no panics")).collect()
-        });
-        let elapsed = start.elapsed().as_secs_f64();
-        let mut lat: Vec<Duration> = latencies.into_iter().flatten().collect();
-        lat.sort_unstable();
-        let qps = lat.len() as f64 / elapsed;
-        let (p50, p99) = (quantile(&lat, 0.50), quantile(&lat, 0.99));
-        println!("  {:>7} {:>12.0} {:>10.1?} {:>10.1?}", shards, qps, p50, p99);
-        csv_row(
-            "e18_sharded_scaling.csv",
-            "shards,replicas,clients,qps,p50_us,p99_us",
-            &format!(
-                "{shards},1,{clients},{qps:.0},{:.1},{:.1}",
-                p50.as_secs_f64() * 1e6,
-                p99.as_secs_f64() * 1e6
-            ),
-        );
+        let (qps, p50, p99) = step(&svc);
+        println!("  {shards:>7} {qps:>12.0} {p50:>10.1?} {p99:>10.1?}");
+        sharded_scaling_csv.row(format_args!(
+            "{shards},1,{clients},{qps:.0},{:.1},{:.1}",
+            p50.as_secs_f64() * 1e6,
+            p99.as_secs_f64() * 1e6
+        ));
     }
 
     // Phase 2 — degraded mode: S=4, R=2, kill one replica mid-fleet and
-    // compare latency quantiles against the healthy baseline. Reads must
-    // never fail or degrade (the partner replica covers the shard).
+    // compare latency quantiles against the healthy baseline.
     let svc = ShardedService::new(
-        elements(),
+        keyed_elements(0..n),
         ShardConfig {
             shards: 4,
             replicas: 2,
@@ -1368,42 +1100,14 @@ fn e18_sharded() {
             svc.fault_plan().kill(1, 0).expect("kill one replica");
         }
         let before = svc.metrics().router.failovers;
-        let start = Instant::now();
-        let latencies: Vec<Vec<Duration>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|_| {
-                    let mut client = svc.client();
-                    scope.spawn(move || {
-                        let mut lat = Vec::new();
-                        while start.elapsed().as_secs_f64() < step_secs {
-                            let t = Instant::now();
-                            let drawn = client.sample_wr(None, s).expect("query survives the kill");
-                            lat.push(t.elapsed());
-                            assert!(!drawn.degraded, "R=2 must mask a single replica loss");
-                            assert_eq!(drawn.missing, 0);
-                        }
-                        lat
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("no panics")).collect()
-        });
-        let elapsed = start.elapsed().as_secs_f64();
-        let mut lat: Vec<Duration> = latencies.into_iter().flatten().collect();
-        lat.sort_unstable();
-        let qps = lat.len() as f64 / elapsed;
-        let (p50, p99) = (quantile(&lat, 0.50), quantile(&lat, 0.99));
+        let (qps, p50, p99) = step(&svc);
         let failovers = svc.metrics().router.failovers - before;
-        println!("  {:>10} {:>12.0} {:>10.1?} {:>10.1?} {:>10}", mode, qps, p50, p99, failovers);
-        csv_row(
-            "e18_degraded.csv",
-            "mode,qps,p50_us,p99_us,failovers",
-            &format!(
-                "{mode},{qps:.0},{:.1},{:.1},{failovers}",
-                p50.as_secs_f64() * 1e6,
-                p99.as_secs_f64() * 1e6
-            ),
-        );
+        println!("  {mode:>10} {qps:>12.0} {p50:>10.1?} {p99:>10.1?} {failovers:>10}");
+        degraded_csv.row(format_args!(
+            "{mode},{qps:.0},{:.1},{:.1},{failovers}",
+            p50.as_secs_f64() * 1e6,
+            p99.as_secs_f64() * 1e6
+        ));
     }
     let m = svc.metrics();
     println!(
@@ -1424,24 +1128,19 @@ fn e18_sharded() {
 // request tracing on the serve and shard tiers, measured A/B with
 // interleaved rounds so drift hits both modes equally.
 // =====================================================================
-fn e19_observability() {
+fn e19_observability(Opts { smoke }: Opts) {
     use iqs_obs::recorder::{self, Ctx, Phase};
     use iqs_serve::{IndexRegistry, Request, Server, ServerConfig};
     use iqs_shard::{ShardConfig, ShardedService};
     use iqs_testkit::ClockHandle;
-    use std::time::Instant;
 
-    // CI sets E19_SMOKE=1 to run the same code with short intervals.
-    let smoke = std::env::var("E19_SMOKE").is_ok();
+    let emit_site_csv = Csv::new("e19_emit_site.csv", "mode,ns_per_emit");
+    let obs_overhead_csv = Csv::new("e19_obs_overhead.csv", "tier,off_qps,traced_qps,overhead_pct");
     let workers = std::thread::available_parallelism().map(|n| n.get().min(4)).unwrap_or(4);
     let n = 1usize << if smoke { 13 } else { 17 };
     let s = 64u32;
     let trial_secs = if smoke { 0.08 } else { 0.4 };
     let rounds = if smoke { 2 } else { 7 };
-    let median = |v: &mut Vec<f64>| -> f64 {
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite qps"));
-        v[v.len() / 2]
-    };
 
     println!("E19 observability overhead — {workers} workers, n = {n}, s = {s} per query");
 
@@ -1457,15 +1156,13 @@ fn e19_observability() {
     recorder::disable();
     let _ = recorder::drain();
     println!("  emit site: disabled {disabled_ns:.2} ns/call, traced {traced_ns:.2} ns/call");
-    csv_row(
-        "e19_emit_site.csv",
-        "mode,ns_per_emit",
-        &format!("disabled,{disabled_ns:.3}\ntraced,{traced_ns:.3}"),
-    );
+    emit_site_csv.row(format_args!("disabled,{disabled_ns:.3}\ntraced,{traced_ns:.3}"));
 
-    // Phase 2 — serve tier: closed-loop saturation with the recorder
-    // off (plain `call`, untraced) vs installed (`call_traced`, every
-    // request recording its full worker-side story).
+    // Phases 2 and 3 — closed-loop saturation, A/B: recorder off vs
+    // installed. Serve tier: plain `call` vs `call_traced`, every request
+    // recording its full worker-side story. Shard tier: the router traces
+    // every query once a subscriber is installed (plan, split, legs,
+    // cost, slow log), so the A/B is simply installed vs not.
     let pairs: Vec<(f64, f64)> = (0..n).map(|i| (i as f64, 1.0 + (i % 10) as f64)).collect();
     let mut registry = IndexRegistry::new();
     registry.register_range_static("keys", pairs).unwrap();
@@ -1475,101 +1172,62 @@ fn e19_observability() {
     );
     let request = || Request::SampleWr { index: "keys".into(), range: None, s };
     let serve_trial = |traced: bool| -> f64 {
-        let start = Instant::now();
-        let done: u64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..2 * workers)
-                .map(|_| {
-                    let client = server.client();
-                    scope.spawn(move || {
-                        let mut count = 0u64;
-                        while start.elapsed().as_secs_f64() < trial_secs {
-                            if traced {
-                                let (_, result) = client.call_traced(request());
-                                result.expect("closed-loop call");
-                            } else {
-                                client.call(request()).expect("closed-loop call");
-                            }
-                            count += 1;
-                        }
-                        count
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("no panics")).sum()
-        });
-        done as f64 / start.elapsed().as_secs_f64()
+        closed_loop(
+            2 * workers,
+            trial_secs,
+            false,
+            || server.client(),
+            |client| {
+                if traced {
+                    let (_, result) = client.call_traced(request());
+                    result.expect("closed-loop call");
+                } else {
+                    client.call(request()).expect("closed-loop call");
+                }
+            },
+        )
+        .ops_per_sec()
     };
-    let (mut serve_off, mut serve_on) = (Vec::new(), Vec::new());
-    for _ in 0..rounds {
-        recorder::disable();
-        serve_off.push(serve_trial(false));
-        recorder::install(&ClockHandle::default(), 1 << 14);
-        serve_on.push(serve_trial(true));
-        recorder::disable();
-        let _ = recorder::drain();
-    }
-    let _ = server.shutdown();
-    let (off, on) = (median(&mut serve_off), median(&mut serve_on));
-    let serve_pct = (off - on) / off * 100.0;
-    println!(
-        "  serve tier: {off:.0} q/s untraced, {on:.0} q/s fully traced ({serve_pct:+.1}% cost)"
-    );
-    csv_row(
-        "e19_obs_overhead.csv",
-        "tier,off_qps,traced_qps,overhead_pct",
-        &format!("serve,{off:.0},{on:.0},{serve_pct:.2}"),
-    );
-
-    // Phase 3 — shard tier: the router traces every query once a
-    // subscriber is installed (plan, split, legs, cost, slow log), so
-    // the A/B is simply installed vs not.
-    let elements: Vec<(u64, f64, f64)> =
-        (0..n).map(|i| (i as u64, i as f64, 1.0 + (i % 10) as f64)).collect();
     let svc = ShardedService::new(
-        elements,
+        keyed_elements(0..n),
         ShardConfig { shards: 3, replicas: 2, seed: 19, ..ShardConfig::default() },
     )
     .expect("cluster build");
-    let shard_trial = || -> f64 {
-        let start = Instant::now();
-        let done: u64 = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..4)
-                .map(|_| {
-                    let mut client = svc.client();
-                    scope.spawn(move || {
-                        let mut count = 0u64;
-                        while start.elapsed().as_secs_f64() < trial_secs {
-                            let drawn = client.sample_wr(None, s).expect("healthy cluster");
-                            assert!(!drawn.degraded);
-                            count += 1;
-                        }
-                        count
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("no panics")).sum()
-        });
-        done as f64 / start.elapsed().as_secs_f64()
+    let shard_trial = |_traced: bool| -> f64 {
+        closed_loop(
+            4,
+            trial_secs,
+            false,
+            || svc.client(),
+            |client| {
+                let drawn = client.sample_wr(None, s).expect("healthy cluster");
+                assert!(!drawn.degraded);
+            },
+        )
+        .ops_per_sec()
     };
-    let (mut shard_off, mut shard_on) = (Vec::new(), Vec::new());
-    for _ in 0..rounds {
-        recorder::disable();
-        shard_off.push(shard_trial());
-        recorder::install(&ClockHandle::default(), 1 << 14);
-        shard_on.push(shard_trial());
-        recorder::disable();
-        let _ = recorder::drain();
+    let tiers: [(&str, &dyn Fn(bool) -> f64); 2] =
+        [("serve", &serve_trial), ("shard", &shard_trial)];
+    for (tier, trial) in tiers {
+        let untraced = &mut || {
+            recorder::disable();
+            trial(false)
+        };
+        let traced = &mut || {
+            recorder::install(&ClockHandle::default(), 1 << 14);
+            let qps = trial(true);
+            recorder::disable();
+            let _ = recorder::drain();
+            qps
+        };
+        let [off, on] = interleaved_medians(rounds, [untraced, traced]);
+        let pct = (off - on) / off * 100.0;
+        println!(
+            "  {tier} tier: {off:.0} q/s untraced, {on:.0} q/s fully traced ({pct:+.1}% cost)"
+        );
+        obs_overhead_csv.row(format_args!("{tier},{off:.0},{on:.0},{pct:.2}"));
     }
-    let (off, on) = (median(&mut shard_off), median(&mut shard_on));
-    let shard_pct = (off - on) / off * 100.0;
-    println!(
-        "  shard tier: {off:.0} q/s untraced, {on:.0} q/s fully traced ({shard_pct:+.1}% cost)"
-    );
-    csv_row(
-        "e19_obs_overhead.csv",
-        "tier,off_qps,traced_qps,overhead_pct",
-        &format!("shard,{off:.0},{on:.0},{shard_pct:.2}"),
-    );
+    let _ = server.shutdown();
     println!(
         "  claim: a disabled emit site costs ~a nanosecond, so across the ~dozen sites a\n  \
          query crosses the uninstalled recorder is far under 3% of any query's latency.\n  \
@@ -1587,20 +1245,20 @@ fn e19_observability() {
 // sides draw bit-identical sequences (tests/pipeline_replay.rs), so the
 // ratio is pure memory-schedule, not algorithm.
 // =====================================================================
-fn e20_memory_wall() {
+fn e20_memory_wall(Opts { smoke }: Opts) {
     use iqs_alias::pipeline::{TILE, WINDOW};
 
-    // CI sets E20_SMOKE=1 to run the same code at a cache-resident size;
-    // smoke checks wiring, not the speedup claim.
-    let smoke = std::env::var("E20_SMOKE").is_ok();
+    let memory_wall_csv =
+        Csv::new("e20_memory_wall.csv", "structure,s,ref_ns_per_draw,pipe_ns_per_draw,speedup");
+    let lookahead_csv = Csv::new("e20_lookahead.csv", "k,ns_per_resolve");
+    // Smoke runs at a cache-resident size: it checks wiring, not the
+    // speedup claim.
     // E20_LOG_N overrides log2(n) to chase the wall on hosts with very
     // large last-level caches (the default 2^20 build is L3-resident on
     // a 256 MiB-L3 part, which mutes the effect being measured).
-    let log_n = std::env::var("E20_LOG_N").ok().and_then(|v| v.parse().ok()).unwrap_or(if smoke {
-        15
-    } else {
-        20
-    });
+    let default_log_n = if smoke { 15 } else { 20 };
+    let log_n =
+        std::env::var("E20_LOG_N").ok().and_then(|v| v.parse().ok()).unwrap_or(default_log_n);
     let n = 1usize << log_n;
     let target_draws = 1usize << if smoke { 15 } else { 21 };
     let runs = if smoke { 3 } else { 7 };
@@ -1631,11 +1289,7 @@ fn e20_memory_wall() {
             std::hint::black_box(&out);
             let speedup = ref_ns / pipe_ns;
             println!("{name:>10} {s:>6} {ref_ns:>13.1} {pipe_ns:>13.1} {speedup:>8.2}x");
-            csv_row(
-                "e20_memory_wall.csv",
-                "structure,s,ref_ns_per_draw,pipe_ns_per_draw,speedup",
-                &format!("{name},{s},{ref_ns:.2},{pipe_ns:.2},{speedup:.3}"),
-            );
+            memory_wall_csv.row(format_args!("{name},{s},{ref_ns:.2},{pipe_ns:.2},{speedup:.3}"));
         }
     };
     bench("thm3", &mut |r, o| thm3.sample_wr_batch(x, y, r, o).unwrap(), &mut |r, o| {
@@ -1682,7 +1336,7 @@ fn e20_memory_wall() {
         ) / s as f64;
         std::hint::black_box(&out);
         println!("  {k:>4} {ns:>13.2}");
-        csv_row("e20_lookahead.csv", "k,ns_per_resolve", &format!("{k},{ns:.3}"));
+        lookahead_csv.row(format_args!("{k},{ns:.3}"));
     }
     println!(
         "\n  claim: once s clears the window the fixed-words-per-draw kernels (Theorem 3\n  \
@@ -1707,10 +1361,8 @@ fn e21_replica_node(args: &[String]) {
     let registry_addr = args[0].clone();
     let n: usize = args[1].parse().expect("element count");
     let seed: u64 = args[2].parse().expect("seed");
-    let elements: Vec<(u64, f64, f64)> =
-        (0..n).map(|i| (i as u64, i as f64, 1.0 + (i % 10) as f64)).collect();
     let mut indexes = IndexRegistry::new();
-    indexes.register_range_keyed(SHARD_INDEX, elements).expect("valid slice");
+    indexes.register_range_keyed(SHARD_INDEX, keyed_elements(0..n)).expect("valid slice");
     let server =
         Server::start(indexes, ServerConfig { workers: 2, seed, ..ServerConfig::default() });
     let total = server.registry().total_weight(SHARD_INDEX).expect("range index");
@@ -1742,7 +1394,7 @@ fn e21_replica_node(args: &[String]) {
     std::process::exit(0);
 }
 
-fn e21_net() {
+fn e21_net(Opts { smoke }: Opts) {
     use iqs_net::{
         shard_specs, RegistryHandler, ServiceRegistry, TcpConfig, TcpServer, TcpTransport,
         Transport,
@@ -1753,8 +1405,7 @@ fn e21_net() {
     use std::sync::Arc;
     use std::time::{Duration, Instant};
 
-    // CI sets E21_SMOKE=1 to run the same code briefly at a small size.
-    let smoke = std::env::var("E21_SMOKE").is_ok();
+    let csv = Csv::new("e21_net.csv", "setup,procs,clients,s,samples_per_sec");
     let n = 1usize << if smoke { 12 } else { 14 };
     let s = 64u32;
     let clients = 4usize;
@@ -1764,32 +1415,23 @@ fn e21_net() {
     println!("     n = {n}, s = {s}, {clients} closed-loop clients, {secs:.1} s per setup");
     println!("{:>12} {:>6} {:>14} {:>9}", "setup", "procs", "samples/s", "vs local");
 
-    /// Closed-loop rate: `clients` threads calling back-to-back for
-    /// `secs`, in drawn samples per second.
-    fn measure(svc: &ShardedService, clients: usize, s: u32, secs: f64) -> f64 {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        let done = AtomicU64::new(0);
-        let start = Instant::now();
-        std::thread::scope(|scope| {
-            for _ in 0..clients {
-                let mut client = svc.client();
-                let done = &done;
-                scope.spawn(move || {
-                    while start.elapsed().as_secs_f64() < secs {
-                        client.sample_wr(None, s).expect("closed-loop read");
-                        done.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
-            }
-        });
-        done.load(Ordering::Relaxed) as f64 * f64::from(s) / start.elapsed().as_secs_f64()
-    }
+    // Closed-loop rate in drawn samples per second.
+    let measure = |svc: &ShardedService| {
+        let run = closed_loop(
+            clients,
+            secs,
+            false,
+            || svc.client(),
+            |client| {
+                client.sample_wr(None, s).expect("closed-loop read");
+            },
+        );
+        run.ops_per_sec() * f64::from(s)
+    };
 
     // Baseline: the same single-shard topology in-process.
-    let elements: Vec<(u64, f64, f64)> =
-        (0..n).map(|i| (i as u64, i as f64, 1.0 + (i % 10) as f64)).collect();
     let local = ShardedService::new(
-        elements,
+        keyed_elements(0..n),
         ShardConfig {
             shards: 1,
             replicas: 1,
@@ -1799,13 +1441,9 @@ fn e21_net() {
         },
     )
     .expect("local cluster");
-    let local_rate = measure(&local, clients, s, secs);
+    let local_rate = measure(&local);
     println!("{:>12} {:>6} {:>14.0} {:>8.2}x", "in-process", 0, local_rate, 1.0);
-    csv_row(
-        "e21_net.csv",
-        "setup,procs,clients,s,samples_per_sec",
-        &format!("local,0,{clients},{s},{local_rate:.0}"),
-    );
+    csv.row(format_args!("local,0,{clients},{s},{local_rate:.0}"));
 
     // Remote: P replica processes serving the same single shard over
     // loopback TCP; the router round-robins queries across them.
@@ -1851,14 +1489,10 @@ fn e21_net() {
             },
         )
         .expect("remote topology");
-        let rate = measure(&svc, clients, s, secs);
+        let rate = measure(&svc);
         best_remote = best_remote.max(rate);
         println!("{:>12} {:>6} {:>14.0} {:>8.2}x", "loopback-tcp", procs, rate, rate / local_rate);
-        csv_row(
-            "e21_net.csv",
-            "setup,procs,clients,s,samples_per_sec",
-            &format!("tcp,{procs},{clients},{s},{rate:.0}"),
-        );
+        csv.row(format_args!("tcp,{procs},{clients},{s},{rate:.0}"));
         drop(svc);
         for child in &mut children {
             drop(child.stdin.take());
@@ -1883,14 +1517,16 @@ fn e21_net() {
 // =====================================================================
 // E22 — tiered hot/cold serving: samples/s vs cache-hit rate vs budget.
 // =====================================================================
-fn e22_tiered() {
+fn e22_tiered(Opts { smoke }: Opts) {
     use iqs_em::EvictionPolicy;
     use iqs_obs::Ctx;
     use iqs_tier::{ShardTier, TierConfig, TieredIndex};
     use std::time::Instant;
 
-    // CI sets E22_SMOKE=1 to run the same code briefly at a small size.
-    let smoke = std::env::var("E22_SMOKE").is_ok();
+    let csv = Csv::new(
+        "e22_tiered.csv",
+        "setup,budget_blocks,hot_shards,queries,s,samples_per_sec,hit_rate,reads,writes",
+    );
     let n = 1usize << if smoke { 13 } else { 16 };
     let shards = 8usize;
     let per = n / shards;
@@ -1905,9 +1541,6 @@ fn e22_tiered() {
         "setup", "budget", "hot", "samples/s", "hit rate", "reads", "writes"
     );
 
-    let shard_data = |k: usize| -> Vec<(u64, f64, f64)> {
-        (k * per..(k + 1) * per).map(|i| (i as u64, i as f64, 1.0 + (i % 10) as f64)).collect()
-    };
     // Skewed closed-loop workload, fixed ahead of time: 80% of queries
     // land on shards 0-1, the rest spread uniformly; each query covers
     // the middle half of its shard so boundary chunks stay in play.
@@ -1932,7 +1565,7 @@ fn e22_tiered() {
             promote_accesses: 64,
         });
         for k in 0..shards {
-            b = b.add_shard(&format!("s{k}"), shard_data(k), placement);
+            b = b.add_shard(&format!("s{k}"), keyed_elements(k * per..(k + 1) * per), placement);
         }
         let idx = b.build().expect("build tiered index");
         let mut rng = StdRng::seed_from_u64(220);
@@ -1951,26 +1584,14 @@ fn e22_tiered() {
         let io = idx.io_stats().minus(&before).expect("counters are monotone");
         let rate = (queries * s) as f64 / dt;
         let hot_now = idx.tiers().iter().filter(|(_, t)| *t == ShardTier::Hot).count();
+        let (hit, reads, writes) = (io.hit_rate(), io.reads, io.writes);
         println!(
-            "{:>14} {:>8} {:>8} {:>12.0} {:>8.1}% {:>8} {:>8}",
-            setup,
-            budget,
-            hot_now,
-            rate,
-            io.hit_rate() * 100.0,
-            io.reads,
-            io.writes
+            "{setup:>14} {budget:>8} {hot_now:>8} {rate:>12.0} {:>8.1}% {reads:>8} {writes:>8}",
+            hit * 100.0
         );
-        csv_row(
-            "e22_tiered.csv",
-            "setup,budget_blocks,hot_shards,queries,s,samples_per_sec,hit_rate,reads,writes",
-            &format!(
-                "{setup},{budget},{hot_now},{queries},{s},{rate:.0},{:.4},{},{}",
-                io.hit_rate(),
-                io.reads,
-                io.writes
-            ),
-        );
+        csv.row(format_args!(
+            "{setup},{budget},{hot_now},{queries},{s},{rate:.0},{hit:.4},{reads},{writes}"
+        ));
     };
 
     // All-hot baseline (budget irrelevant), all-cold at three budgets,
@@ -1997,12 +1618,15 @@ fn e22_tiered() {
 // =====================================================================
 // E23 — autopilot: the chaos scenario matrix, controller on vs off.
 // =====================================================================
-fn e23_autopilot() {
-    use iqs_ctl::chaos::{run_matrix, ChaosConfig};
+fn e23_autopilot(Opts { smoke }: Opts) {
+    use iqs_bench::chaos::{run_matrix, CellReport, ChaosConfig};
     use iqs_testkit::{ClockHandle, Scenario};
 
-    // CI sets E23_SMOKE=1 to run the same matrix with truncated phases.
-    let smoke = std::env::var("E23_SMOKE").is_ok();
+    let csv = Csv::new(
+        "e23_autopilot.csv",
+        "scenario,controller,queries,failed,degraded,missing,p50_ns,p99_ns,splits,merges,rebuilds,final_shards",
+    );
+    // Smoke runs the same matrix with truncated phases.
     let mut scenarios = Scenario::matrix();
     if smoke {
         for sc in &mut scenarios {
@@ -2038,44 +1662,23 @@ fn e23_autopilot() {
     let pairs = run_matrix(&scenarios, &cfg).expect("chaos matrix runs");
     for (on, off) in &pairs {
         for cell in [on, off] {
+            let CellReport { scenario, controller, queries, failed, degraded, missing, .. } = cell;
+            let CellReport { p50_ns, p99_ns, splits, merges, rebuilds, final_shards, .. } = cell;
+            let ctl = if *controller { "on" } else { "off" };
+            let (p50_us, p99_us) = (*p50_ns as f64 / 1e3, *p99_ns as f64 / 1e3);
             println!(
-                "{:>18} {:>4} {:>7} {:>7} {:>9} {:>8} {:>10.1} {:>10.1} {:>13} {:>7}",
-                cell.scenario,
-                if cell.controller { "on" } else { "off" },
-                cell.queries,
-                cell.failed,
-                cell.degraded,
-                cell.missing,
-                cell.p50_ns as f64 / 1e3,
-                cell.p99_ns as f64 / 1e3,
-                format!("{}/{}/{}", cell.splits, cell.merges, cell.rebuilds),
-                cell.final_shards
+                "{scenario:>18} {ctl:>4} {queries:>7} {failed:>7} {degraded:>9} {missing:>8} \
+                 {p50_us:>10.1} {p99_us:>10.1} {:>13} {final_shards:>7}",
+                format!("{splits}/{merges}/{rebuilds}")
             );
-            csv_row(
-                "e23_autopilot.csv",
-                "scenario,controller,queries,failed,degraded,missing,p50_ns,p99_ns,splits,merges,rebuilds,final_shards",
-                &format!(
-                    "{},{},{},{},{},{},{},{},{},{},{},{}",
-                    cell.scenario,
-                    cell.controller,
-                    cell.queries,
-                    cell.failed,
-                    cell.degraded,
-                    cell.missing,
-                    cell.p50_ns,
-                    cell.p99_ns,
-                    cell.splits,
-                    cell.merges,
-                    cell.rebuilds,
-                    cell.final_shards
-                ),
-            );
+            csv.row(format_args!(
+                "{scenario},{controller},{queries},{failed},{degraded},{missing},{p50_ns},{p99_ns},\
+                 {splits},{merges},{rebuilds},{final_shards}"
+            ));
         }
         assert_eq!(on.failed + off.failed, 0, "the matrix's availability contract");
     }
-    let kill = pairs.iter().map(|(on, _)| on).find(|c| c.scenario == "replica_kill");
-    if let Some(on) = kill {
-        let off = &pairs.iter().find(|(o, _)| o.scenario == "replica_kill").unwrap().1;
+    if let Some((on, off)) = pairs.iter().find(|(on, _)| on.scenario == "replica_kill") {
         println!(
             "\n  replica_kill A/B: degraded {} -> {} ({}x), p99 {:.1}us -> {:.1}us",
             off.degraded,
@@ -2100,7 +1703,7 @@ fn e23_autopilot() {
 // =====================================================================
 // E24 — telemetry plane: shipping overhead A/B + burn detection latency.
 // =====================================================================
-fn e24_telemetry_slo() {
+fn e24_telemetry_slo(Opts { smoke }: Opts) {
     use iqs_net::{
         announce_once, shard_specs, ship_telemetry, Announce, RegistryHandler, ReplicaServer,
         ServiceRegistry, SimNet, TelemetryHandler,
@@ -2113,14 +1716,14 @@ fn e24_telemetry_slo() {
     use std::sync::{Arc, Mutex};
     use std::time::{Duration, Instant};
 
-    // CI sets E24_SMOKE=1 to run the same code with short loops.
-    let smoke = std::env::var("E24_SMOKE").is_ok();
+    let telemetry_csv =
+        Csv::new("e24_telemetry.csv", "arm,rounds,queries_per_round,s,ns_per_query,batches");
+    let burn_detection_csv = Csv::new("e24_burn_detection.csv", "bad_pct,per_tick,ticks_to_alert");
     let rounds = if smoke { 8 } else { 120 };
     let queries_per_round = if smoke { 10 } else { 50 };
     let s = 16u32;
     let cuts: [(usize, usize); 3] = [(0, 341), (341, 682), (682, 1024)];
-    let elements: Vec<(u64, f64, f64)> =
-        (0..1024).map(|i| (i as u64, i as f64, 1.0 + (i % 10) as f64)).collect();
+    let elements = keyed_elements(0..1024);
 
     println!("E24  telemetry plane — shipping overhead A/B + burn detection latency");
     println!(
@@ -2154,7 +1757,9 @@ fn e24_telemetry_slo() {
         Record,
         Ship,
     }
-    let arm = |mode: Arm| -> (f64, u64) {
+    // Telemetry batches each arm must deliver to the collector.
+    let batches = |mode: Arm| if mode == Arm::Ship { (rounds * cuts.len()) as u64 } else { 0 };
+    let arm = |mode: Arm| -> f64 {
         let clock = VirtualClock::new();
         recorder::install(&clock.handle(), 1 << 16);
         if mode == Arm::Off {
@@ -2242,34 +1847,23 @@ fn e24_telemetry_slo() {
         }
         let ns_per_query = start.elapsed().as_nanos() as f64 / (rounds * queries_per_round) as f64;
         recorder::disable();
-        let batches = collector.lock().unwrap().stats().batches;
-        (ns_per_query, batches)
+        assert_eq!(collector.lock().unwrap().stats().batches, batches(mode));
+        ns_per_query
     };
-    let (off_ns, off_batches) = arm(Arm::Off);
-    let (rec_ns, rec_batches) = arm(Arm::Record);
-    let (ship_ns, ship_batches) = arm(Arm::Ship);
-    assert_eq!(off_batches, 0);
-    assert_eq!(rec_batches, 0);
-    assert_eq!(ship_batches, (rounds * cuts.len()) as u64);
+    // One round: each arm's wall time is a single pass of the script.
+    let [off_ns, rec_ns, ship_ns] = interleaved_medians(
+        1,
+        [&mut || arm(Arm::Off), &mut || arm(Arm::Record), &mut || arm(Arm::Ship)],
+    );
     println!("\n  per-query wall clock (whole loop incl. drain/fold/encode/ship):");
     println!("{:>10} {:>14} {:>10} {:>12}", "telemetry", "ns/query", "batches", "vs off");
-    for (name, ns, batches) in [
-        ("off", off_ns, off_batches),
-        ("record", rec_ns, rec_batches),
-        ("ship", ship_ns, ship_batches),
-    ] {
-        println!(
-            "{:>10} {:>14.0} {:>10} {:>+11.1}%",
-            name,
-            ns,
-            batches,
-            (ns / off_ns - 1.0) * 100.0
-        );
-        csv_row(
-            "e24_telemetry.csv",
-            "arm,rounds,queries_per_round,s,ns_per_query,batches",
-            &format!("{name},{rounds},{queries_per_round},{s},{ns:.0},{batches}"),
-        );
+    for (name, ns, mode) in
+        [("off", off_ns, Arm::Off), ("record", rec_ns, Arm::Record), ("ship", ship_ns, Arm::Ship)]
+    {
+        let (batches, pct) = (batches(mode), (ns / off_ns - 1.0) * 100.0);
+        println!("{name:>10} {ns:>14.0} {batches:>10} {pct:>+11.1}%");
+        telemetry_csv
+            .row(format_args!("{name},{rounds},{queries_per_round},{s},{ns:.0},{batches}"));
     }
     println!(
         "  recorder costs {:+.1}%; shipping itself adds {:+.1}% on top",
@@ -2318,11 +1912,8 @@ fn e24_telemetry_slo() {
         }
         let shown = detected.map_or("never".into(), |t| format!("{t}"));
         println!("{:>11}% {:>16}", bad_pct, shown);
-        csv_row(
-            "e24_burn_detection.csv",
-            "bad_pct,per_tick,ticks_to_alert",
-            &format!("{bad_pct},{per_tick},{}", detected.map_or(-1, |t| t as i64)),
-        );
+        burn_detection_csv
+            .row(format_args!("{bad_pct},{per_tick},{}", detected.map_or(-1, |t| t as i64)));
     }
     println!(
         "\n  E24 claim: against ~24 us in-process scatter queries, the flight recorder costs\n  \

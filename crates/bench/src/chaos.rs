@@ -1,6 +1,7 @@
-//! The deterministic A/B chaos driver: replays a scripted
-//! [`Scenario`] against a sharded service with the controller on or
-//! off, under one seed, and reports what happened.
+//! The deterministic A/B chaos driver behind experiment E23 and the
+//! `chaos_matrix` test: replays a scripted [`Scenario`] against a
+//! sharded service with the `iqs-ctl` controller on or off, under one
+//! seed, and reports what happened.
 //!
 //! One [`run_cell`] call is one cell of the chaos matrix. The workload
 //! is generated purely from `(seed, phase, tick)` by the scenario DSL,
@@ -14,11 +15,10 @@
 
 use std::time::Duration;
 
+use iqs_ctl::{Controller, CtlConfig, CtlError, Decision};
 use iqs_shard::{FaultMode, HealthPolicy, ShardConfig, ShardedService};
 use iqs_testkit::scenario::{Scenario, ScriptedFault};
 use iqs_testkit::ClockHandle;
-
-use crate::{Controller, CtlConfig, CtlError, Decision};
 
 /// Cluster and workload shape for one chaos cell.
 #[derive(Debug, Clone)]
@@ -73,7 +73,7 @@ impl ChaosConfig {
 }
 
 /// What one chaos cell observed.
-#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CellReport {
     /// Scenario name.
     pub scenario: String,

@@ -34,9 +34,10 @@
 //! layout.
 //!
 //! The controller is deliberately tick-driven rather than a background
-//! thread: callers (the chaos driver, the example, production loops)
-//! call [`Controller::tick`] explicitly or use [`Controller::run_for`],
-//! which sleeps on the shared clock between ticks. On a virtual clock
+//! thread: callers (the chaos driver in `iqs-bench`, the example,
+//! production loops) call [`Controller::tick`] explicitly or use
+//! [`Controller::run_for`], which sleeps on the shared clock between
+//! ticks. On a virtual clock
 //! the whole control loop is therefore deterministic — the property the
 //! chaos scenario matrix and the CI determinism diff rest on.
 //!
@@ -52,8 +53,6 @@
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
-
-pub mod chaos;
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
